@@ -1,16 +1,18 @@
 """Vectorised thread-block state: runs of blocks behind one descriptor.
 
-Large-GPU steady state is a loop of "a wave of same-instant completions
-fires, every affected SM refills with fresh, jitter-free blocks of the same
-kernel".  The per-block representation pays, for each block and generation,
-one :class:`~repro.gpu.thread_block.ThreadBlock` allocation, two residency
-dict inserts/deletes, and per-block ``start``/``complete``/``notify`` calls —
-none of which is observable unless something actually inspects the blocks.
+Steady state is a loop of "a completion fires, the SM refills with fresh
+blocks of the same kernel".  The per-block representation pays, for each
+block and generation, one :class:`~repro.gpu.thread_block.ThreadBlock`
+allocation, two residency dict inserts/deletes, and per-block
+``start``/``complete``/``notify`` calls — none of which is observable unless
+something actually inspects the blocks.
 
 A :class:`BlockRun` collapses such a refill into one scalar descriptor: a
 contiguous span of never-issued blocks of one launch, all started at the
-same instant with the same execution time (no jitter), hence one shared
-completion instant.  The SM driver issues a run with one call
+same instant with the same execution time, hence one shared completion
+instant.  A refill of a grid without jitter is one run of many blocks;
+under per-block jitter each block is a run of count 1 carrying the
+execution time drawn for it.  The SM driver issues a run with one call
 (:meth:`~repro.gpu.sm.StreamingMultiprocessor.start_run`), the wave event
 carries one entry for it, and completion retires the whole span in O(1)
 (:meth:`~repro.gpu.kernel.KernelLaunch.note_span_completed`).
@@ -45,8 +47,9 @@ class BlockRun:
     first_index / count:
         The span ``[first_index, first_index + count)`` of the launch's grid.
     exec_time_us:
-        The (jitter-free) per-block execution time; every block of the span
-        shares it, which is what makes one completion instant exact.
+        The per-block execution time, drawn once at issue; every block of
+        the span shares it, which is what makes one completion instant
+        exact (a jittered block is a span of count 1).
     start_time_us:
         Instant the span started executing (set by ``start_run``).
     key:
@@ -77,6 +80,7 @@ class BlockRun:
         return self.launch.materialise_span(
             self.first_index,
             self.count,
+            exec_time_us=self.exec_time_us,
             sm_id=sm_id,
             start_time_us=self.start_time_us,
         )

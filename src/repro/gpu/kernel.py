@@ -16,7 +16,7 @@ from typing import Callable, Dict, List, Optional
 
 from repro.gpu.resources import ResourceUsage
 from repro.gpu.thread_block import ThreadBlock, ThreadBlockState
-from repro.utils.determinism import DeterministicJitter
+from repro.utils.determinism import DeterministicJitter, KeyedJitter
 
 
 class KernelState(enum.Enum):
@@ -136,6 +136,15 @@ class KernelLaunch:
     _next_block_index: int = 0
     _completed_blocks: int = 0
     _blocks: Dict[int, ThreadBlock] = field(default_factory=dict)
+    #: ``jitter`` with this launch's key prefix folded in once (every block
+    #: draw then costs one mixing round; see :meth:`block_execution_time`).
+    _keyed_jitter: Optional[KeyedJitter] = field(
+        default=None, init=False, repr=False, compare=False
+    )
+
+    def __post_init__(self) -> None:
+        if self.jitter is not None:
+            self._keyed_jitter = self.jitter.keyed(self.spec.qualified_name, self.launch_id)
 
     # ------------------------------------------------------------------
     # Thread-block management
@@ -143,9 +152,10 @@ class KernelLaunch:
     def block_execution_time(self, block_index: int) -> float:
         """Deterministic execution time of block ``block_index``."""
         base = self.spec.avg_tb_time_us
-        if self.jitter is None:
+        keyed = self._keyed_jitter
+        if keyed is None:
             return base
-        return self.jitter.scaled(base, self.spec.qualified_name, self.launch_id, block_index)
+        return base * keyed.factor(block_index)
 
     def next_thread_block(self) -> ThreadBlock:
         """Materialise the next never-issued thread block of this launch."""
@@ -176,19 +186,17 @@ class KernelLaunch:
         blocks_map = self._blocks
         launch_id = self.launch_id
         base = self.spec.avg_tb_time_us
-        jitter = self.jitter
+        keyed = self._keyed_jitter
         out: List[ThreadBlock] = []
-        if jitter is None:
+        if keyed is None:
             for index in range(start, end):
                 block = ThreadBlock(launch_id, index, base)
                 blocks_map[index] = block
                 out.append(block)
         else:
-            qualified = self.spec.qualified_name
+            draw = keyed.factor
             for index in range(start, end):
-                block = ThreadBlock(
-                    launch_id, index, jitter.scaled(base, qualified, launch_id, index)
-                )
+                block = ThreadBlock(launch_id, index, base * draw(index))
                 blocks_map[index] = block
                 out.append(block)
         return out
@@ -208,20 +216,27 @@ class KernelLaunch:
         return start, end - start
 
     def materialise_span(
-        self, first_index: int, count: int, *, sm_id: int, start_time_us: float
+        self,
+        first_index: int,
+        count: int,
+        *,
+        exec_time_us: float,
+        sm_id: int,
+        start_time_us: float,
     ) -> List[ThreadBlock]:
         """Create the ThreadBlocks of a claimed span, running since ``start_time_us``.
 
         Produces exactly the objects the per-block path would hold at this
         point: registered with the launch, RUNNING on ``sm_id``, first/last
-        start at the issue instant, execution times from
-        :meth:`block_execution_time`.
+        start at the issue instant.  Every block of a span shares
+        ``exec_time_us``, the :meth:`block_execution_time` drawn when the
+        span was issued, so materialising never draws the jitter again.
         """
         blocks_map = self._blocks
         launch_id = self.launch_id
         out: List[ThreadBlock] = []
         for index in range(first_index, first_index + count):
-            block = ThreadBlock(launch_id, index, self.block_execution_time(index))
+            block = ThreadBlock(launch_id, index, exec_time_us)
             block.state = ThreadBlockState.RUNNING
             block.sm_id = sm_id
             block.first_start_time_us = start_time_us

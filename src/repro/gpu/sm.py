@@ -20,7 +20,13 @@ numbers, so no foreign event can interleave), which keeps the optimisation
 observably invisible; ``tests/gpu/test_wave_equivalence.py`` proves it
 byte-identical against the per-block path forced by
 ``GPUConfig.wave_batching = False``.  Blocks with heterogeneous remainders
-(jitter, restored preempted blocks) fall back to exact per-block events.
+(jitter, restored preempted blocks) get one event each.
+
+With no observer attached, fresh refills are not even block objects: the
+driver issues them as :class:`~repro.gpu.blockrun.BlockRun` spans through
+:meth:`StreamingMultiprocessor.start_run` — one span for a grid without
+jitter, one count-1 run per block of a jittered grid — and the SM
+materialises them into per-block state only when something needs it.
 """
 
 from __future__ import annotations
@@ -454,10 +460,10 @@ class StreamingMultiprocessor:
     ) -> None:
         """Begin executing a vectorised span of fresh blocks (see :mod:`repro.gpu.blockrun`).
 
-        The scalar twin of :meth:`start_blocks` for an all-fresh, jitter-free
-        burst with no observer attached: one residency record, one wave entry
-        (joined under exactly the per-block path's conditions), no block
-        objects.  ``extra_latency_us`` is the issue latency the per-block
+        The scalar twin of :meth:`start_blocks` for fresh blocks sharing one
+        execution time, with no observer attached: one residency record, one
+        wave entry (joined under exactly the per-block path's conditions), no
+        block objects.  ``extra_latency_us`` is the issue latency the per-block
         path would have charged each block.
         """
         sim = self._sim
@@ -540,7 +546,7 @@ class StreamingMultiprocessor:
         self._resident.pop(key, None)
         block.complete(now)
         self.blocks_executed += 1
-        if not self._resident:
+        if not self._resident and not self._run_blocks:
             self.utilization.set_idle(now)
         if self.observer is not None:
             self.observer.on_block_completed(self, block)

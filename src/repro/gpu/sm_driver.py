@@ -152,25 +152,29 @@ class SMDriver:
         if free > 0:
             tb_issue_latency = self._tb_issue_latency_us
             ptbq = framework.ptbq(ksr_index)
-            if (
-                self._wave_batching
-                and launch.jitter is None
-                and sm.observer is None
-                and len(ptbq) == 0
-            ):
-                # Vectorised issue: an all-fresh, jitter-free refill of an
-                # unobserved SM becomes one BlockRun — no block objects, one
-                # wave entry (see repro.gpu.blockrun).  Byte-identical to
-                # the per-block path below by construction.
+            if self._wave_batching and sm.observer is None and len(ptbq) == 0:
+                # Vectorised issue: an all-fresh refill of an unobserved SM
+                # becomes BlockRuns — no block objects, one wave entry per
+                # run (see repro.gpu.blockrun).  Without jitter the refill is
+                # one run; with it, a count-1 run per block, carrying the
+                # execution time drawn for it.  Byte-identical to the
+                # per-block path below by construction.
                 first, taken = launch.take_fresh_span(free)
                 if taken:
                     self._ctr_blocks_issued.value += taken
                     if callback is None:
                         callback = self._completion_callback(sm.sm_id)
-                    run = BlockRun(launch, first, taken, launch.spec.avg_tb_time_us)
-                    sm.start_run(
-                        run, extra_latency_us=tb_issue_latency, on_complete=callback
-                    )
+                    start_run = sm.start_run
+                    if launch.jitter is None:
+                        run = BlockRun(launch, first, taken, launch.spec.avg_tb_time_us)
+                        start_run(run, extra_latency_us=tb_issue_latency, on_complete=callback)
+                    else:
+                        exec_time = launch.block_execution_time
+                        for index in range(first, first + taken):
+                            run = BlockRun(launch, index, 1, exec_time(index))
+                            start_run(
+                                run, extra_latency_us=tb_issue_latency, on_complete=callback
+                            )
             else:
                 ptbq_pop = ptbq.pop
                 engine = self._engine

@@ -9,7 +9,7 @@ small, stable 64-bit mixing function instead (SplitMix64).
 
 from __future__ import annotations
 
-from typing import Iterable, Union
+from typing import Iterable, Tuple, Union
 
 _MASK64 = (1 << 64) - 1
 
@@ -93,6 +93,35 @@ class DeterministicJitter:
     def scaled(self, base: float, *key: Hashable) -> float:
         """Apply the jitter factor for ``key`` to ``base``."""
         return base * self.factor(*key)
+
+    def keyed(self, *prefix: Hashable) -> "KeyedJitter":
+        """Bind the leading key components once (see :class:`KeyedJitter`)."""
+        return KeyedJitter(self._seed, self._spread, prefix)
+
+
+class KeyedJitter:
+    """:class:`DeterministicJitter` with a fixed key prefix folded in once.
+
+    ``DeterministicJitter(seed, spread).keyed(*prefix).factor(index)`` equals
+    ``DeterministicJitter(seed, spread).factor(*prefix, index)`` bit for bit,
+    but a draw costs one SplitMix64 round instead of re-folding the prefix
+    (the per-block draw of a kernel launch would otherwise re-hash the
+    kernel-name string through the pure-Python FNV loop every time).
+    """
+
+    __slots__ = ("_spread", "_state")
+
+    def __init__(self, seed: int, spread: float, prefix: Tuple[Hashable, ...]):
+        self._spread = spread
+        #: The :func:`stable_hash` state after folding ``(seed, *prefix)``.
+        self._state = stable_hash(seed, *prefix)
+
+    def factor(self, index: int) -> float:
+        """Multiplicative factor in ``[1-spread, 1+spread]`` for ``index``."""
+        if self._spread == 0.0:
+            return 1.0
+        u = _splitmix64(self._state ^ (index & _MASK64)) / float(1 << 64)
+        return 1.0 + self._spread * (2.0 * u - 1.0)
 
 
 def weighted_choice(weights: Iterable[float], u: float) -> int:

@@ -3,23 +3,30 @@
 Byte-identity of the run representation is proven by the wave- and
 queue-equivalence fuzzes (both engines produce identical artifacts with it
 on); these tests pin the other half — that the fast path actually
-*engages* on the workloads built for it (jitter-free large_gpu refills)
-and stays off whenever an observer needs real per-block state, and that a
-materialised span recreates exactly the blocks the per-block path makes.
+*engages* on the workloads built for it (jitter-free large_gpu refills as
+whole spans, jittered serving refills as count-1 runs) and stays off
+whenever an observer needs real per-block state, and that a materialised
+span recreates exactly the blocks the per-block path makes.
 """
 
 from __future__ import annotations
 
 import pytest
 
+from repro.experiments.base import ExperimentConfig
+from repro.experiments.serving import serving_scenario
 from repro.gpu.blockrun import BlockRun
+from repro.gpu.kernel import KernelLaunch
 from repro.gpu.sm import StreamingMultiprocessor
 from repro.gpu.thread_block import ThreadBlockState
+from repro.serving.driver import run_serving
 from repro.system import GPUSystem
+from repro.utils.determinism import DeterministicJitter, KeyedJitter
 from repro.workloads.large_gpu import generate_large_gpu_scenario
 
 
-def _run_counting_start_run(monkeypatch, *, validate):
+def _count_start_run(monkeypatch) -> list:
+    """Record the block count of every ``start_run`` call."""
     calls = []
     real = StreamingMultiprocessor.start_run
 
@@ -28,6 +35,24 @@ def _run_counting_start_run(monkeypatch, *, validate):
         return real(self, run, **kwargs)
 
     monkeypatch.setattr(StreamingMultiprocessor, "start_run", counting)
+    return calls
+
+
+def _count_draws(monkeypatch) -> list:
+    """Record the block index of every keyed jitter draw."""
+    draws = []
+    real = KeyedJitter.factor
+
+    def counting(self, index):
+        draws.append(index)
+        return real(self, index)
+
+    monkeypatch.setattr(KeyedJitter, "factor", counting)
+    return draws
+
+
+def _run_counting_start_run(monkeypatch, *, validate):
+    calls = _count_start_run(monkeypatch)
     scenario = generate_large_gpu_scenario(8)
     if validate:
         import dataclasses
@@ -54,6 +79,65 @@ def test_observers_force_the_exact_per_block_path(monkeypatch):
     calls, system = _run_counting_start_run(monkeypatch, validate=True)
     assert calls == []
     assert not system.violations()
+
+
+def _run_jittered_serving(monkeypatch, *, validate):
+    calls = _count_start_run(monkeypatch)
+    draws = _count_draws(monkeypatch)
+    per_block = []
+    real_take = KernelLaunch.take_fresh_blocks
+
+    def counting_take(self, count):
+        blocks = real_take(self, count)
+        per_block.append(len(blocks))
+        return blocks
+
+    monkeypatch.setattr(KernelLaunch, "take_fresh_blocks", counting_take)
+    scenario = serving_scenario(ExperimentConfig(scale="smoke", validate=validate), load="light")
+    outcome = run_serving(scenario)
+    assert outcome.summary["completed"] > 0
+    return calls, sum(per_block), draws, outcome
+
+
+def test_jittered_serving_refills_issue_count_one_runs(monkeypatch):
+    calls, per_block, draws, _ = _run_jittered_serving(monkeypatch, validate=False)
+    # Jittered grids stay on the span path: almost every fresh block is a
+    # count-1 run carrying its own execution time.
+    assert set(calls) == {1}
+    assert len(calls) >= 0.9 * (len(calls) + per_block)
+    # One jitter draw per fresh block, none on materialisation.
+    assert len(draws) == len(calls) + per_block
+
+
+def test_observers_force_the_exact_per_block_path_on_jittered_grids(monkeypatch):
+    calls, per_block, draws, outcome = _run_jittered_serving(monkeypatch, validate=True)
+    assert calls == []
+    assert outcome.violations == []
+    assert len(draws) == per_block
+
+
+def test_materialised_jittered_run_keeps_its_drawn_execution_time(monkeypatch):
+    from repro.gpu.kernel import KernelSpec
+    from repro.gpu.resources import ResourceUsage
+
+    spec = KernelSpec(
+        name="k", benchmark="b", num_thread_blocks=8, avg_tb_time_us=4.0,
+        usage=ResourceUsage(registers_per_block=1, shared_memory_per_block=0),
+    )
+    launch = KernelLaunch(
+        spec=spec, launch_id=3, context_id=1, jitter=DeterministicJitter(5, 0.3)
+    )
+    first, taken = launch.take_fresh_span(4)
+    runs = [BlockRun(launch, i, 1, launch.block_execution_time(i)) for i in range(first, taken)]
+    draws = _count_draws(monkeypatch)
+    for run in runs:
+        run.start_time_us = 2.0
+        (block,) = run.materialise(sm_id=0)
+        assert block.execution_time_us == launch.block_execution_time(run.first_index)
+        assert block.execution_time_us != spec.avg_tb_time_us
+        assert block.state is ThreadBlockState.RUNNING
+    # Only the comparisons above drew; materialising reused the run's time.
+    assert draws == [run.first_index for run in runs]
 
 
 def test_materialised_span_matches_the_per_block_issue(synthetic_launch=None):

@@ -10,16 +10,24 @@ actually form — once wave-batched and once with the exact per-block path
 forced, and asserts byte-identical run artifacts: per-process timings,
 multiprogram metrics, engine statistics, invariant-validation verdicts and
 exported Chrome traces.
+
+A second fuzz keeps the default per-block jitter, so unobserved refills run
+as count-1 :class:`~repro.gpu.blockrun.BlockRun` spans, and asserts the whole
+run record byte-identical to the per-block path — for closed-loop scenarios
+over every combination and for open-loop serving runs, one of them split
+across a checkpoint.
 """
 
 from __future__ import annotations
 
 import json
+from typing import Optional
 
 import pytest
 
 from repro.runner import execute_scenario
 from repro.scenario import ScenarioSpec, SchemeSpec
+from repro.serving.driver import run_serving
 from repro.workloads.synthetic import (
     SCHEME_CONTROLLERS,
     SCHEME_MECHANISMS,
@@ -55,10 +63,21 @@ def _scheme_for_seed(seed: int) -> SchemeSpec:
     )
 
 
-def _fuzz_scenario(seed: int, *, wave_batching: bool, validate: bool) -> ScenarioSpec:
-    overrides = {"tb_time_cv": 0.0}
+def _fuzz_scenario(
+    seed: int,
+    *,
+    wave_batching: bool,
+    validate: bool,
+    jitter: bool = False,
+    open_loop: bool = False,
+    num_sms: Optional[int] = None,
+) -> ScenarioSpec:
+    overrides = {} if jitter else {"tb_time_cv": 0.0}
+    gpu = {} if num_sms is None else {"num_sms": num_sms}
     if not wave_batching:
-        overrides["gpu"] = {"wave_batching": False}
+        gpu["wave_batching"] = False
+    if gpu:
+        overrides["gpu"] = gpu
     return generate_synthetic_scenario(
         seed,
         scale="smoke",
@@ -66,6 +85,7 @@ def _fuzz_scenario(seed: int, *, wave_batching: bool, validate: bool) -> Scenari
         scheme=_scheme_for_seed(seed),
         max_processes=4,
         config_overrides=overrides,
+        open_loop=open_loop,
     )
 
 
@@ -155,3 +175,60 @@ def test_wave_batching_reduces_heap_events_on_regular_grids():
         exact.result.events_processed, exact.result.engine_stats
     )
     assert eq_waved == eq_exact
+
+
+#: Two jittered closed-loop seeds per policy × mechanism × controller: the
+#: first pass on a 2-SM GPU, where the preemptive schemes contend and preempt
+#: (evicting or draining span-issued blocks), the second on the default GPU.
+JITTER_SEEDS = list(range(2 * len(COMBOS)))
+#: Jittered open-loop serving seeds on a 2-SM GPU, each of which preempts.
+SERVING_SEEDS = [19, 23, 31, 64, 72, 74]
+_SMALL_GPU_SMS = 2
+
+
+def _jittered(seed: int, *, wave_batching: bool, open_loop: bool = False) -> ScenarioSpec:
+    small = open_loop or seed < len(COMBOS)
+    return _fuzz_scenario(
+        seed,
+        wave_batching=wave_batching,
+        validate=False,
+        jitter=True,
+        open_loop=open_loop,
+        num_sms=_SMALL_GPU_SMS if small else None,
+    )
+
+
+def _record_json(record) -> str:
+    """Canonical JSON of a whole run record minus its spec (the specs differ
+    only in the ``wave_batching`` override)."""
+    payload = record.to_dict()
+    del payload["scenario"]
+    return json.dumps(payload, sort_keys=True)
+
+
+@pytest.mark.parametrize("seed", JITTER_SEEDS)
+def test_jittered_span_run_is_byte_identical_to_per_block_run(seed):
+    spanned = execute_scenario(_jittered(seed, wave_batching=True))
+    exact = execute_scenario(_jittered(seed, wave_batching=False))
+    assert _record_json(spanned) == _record_json(exact), (
+        f"seed {seed} ({spanned.scenario.describe()}) diverged"
+    )
+
+
+@pytest.mark.parametrize("seed", SERVING_SEEDS)
+def test_jittered_serving_run_is_byte_identical_to_per_block_run(seed):
+    spanned = execute_scenario(_jittered(seed, wave_batching=True, open_loop=True))
+    exact = execute_scenario(_jittered(seed, wave_batching=False, open_loop=True))
+    assert exact.result.engine_stats["blocks_preempted"] > 0
+    assert _record_json(spanned) == _record_json(exact)
+
+
+def test_jittered_checkpoint_split_run_matches_unsplit_per_block_run():
+    seed = SERVING_SEEDS[4]
+    spanned = _jittered(seed, wave_batching=True, open_loop=True)
+    split = run_serving(spanned, checkpoint_at=(spanned.arrivals["horizon_us"] / 2,))
+    unsplit = run_serving(_jittered(seed, wave_batching=False, open_loop=True))
+    assert split.segments == 2
+    assert json.dumps(split.summary, sort_keys=True) == json.dumps(
+        unsplit.summary, sort_keys=True
+    )

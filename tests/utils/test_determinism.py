@@ -78,6 +78,30 @@ class TestDeterministicJitter:
             DeterministicJitter(seed=1, spread=-0.1)
 
 
+class TestKeyedJitter:
+    @given(
+        seed=st.one_of(
+            st.integers(min_value=-(2**70), max_value=-1),
+            st.integers(min_value=2**64, max_value=2**80),
+            st.integers(),
+        ),
+        spread=st.one_of(st.just(0.0), st.floats(min_value=0.0, max_value=0.999)),
+        name=st.text(
+            alphabet=st.characters(
+                min_codepoint=0, max_codepoint=0x2FFFF, exclude_categories=("Cs",)
+            )
+        ),
+        launch_id=st.integers(),
+        index=st.one_of(st.integers(min_value=2**63, max_value=2**72), st.integers()),
+    )
+    def test_keyed_factor_equals_full_key_factor_bit_for_bit(
+        self, seed, spread, name, launch_id, index
+    ):
+        jitter = DeterministicJitter(seed=seed, spread=spread)
+        keyed = jitter.keyed(name, launch_id)
+        assert keyed.factor(index).hex() == jitter.factor(name, launch_id, index).hex()
+
+
 class TestWeightedChoice:
     def test_single_weight(self):
         assert weighted_choice([1.0], 0.5) == 0
