@@ -17,11 +17,15 @@ execution time drawn for it.  The SM driver issues a run with one call
 carries one entry for it, and completion retires the whole span in O(1)
 (:meth:`~repro.gpu.kernel.KernelLaunch.note_span_completed`).
 
+Observers never force real blocks: they see a run through the span hooks
+``on_run_started`` / ``on_run_completed`` (see
+:class:`~repro.sim.observers.BaseObserver`).
+
 The representation is *reversible*: the moment anything needs real blocks —
-an observer is attached, the SM is preempted (``evict_all``), a policy
-builds a preemption request over ``resident()``, a per-block issue lands on
-the SM, or the kernel is about to finish — the run is materialised into the
-exact :class:`ThreadBlock` objects (and wave entries, in the exact event
+the SM is preempted (``evict_all``), a policy builds a preemption request
+over ``resident()``, a per-block issue lands on the SM, or the kernel is
+about to finish — the run is materialised into the exact
+:class:`ThreadBlock` objects (and wave entries, in the exact event
 positions) the per-block path would have produced, and execution continues
 on the classic path.  ``tests/gpu/test_wave_equivalence.py`` and the
 queue-equivalence fuzz prove the whole construction byte-identical to the

@@ -22,11 +22,12 @@ byte-identical against the per-block path forced by
 ``GPUConfig.wave_batching = False``.  Blocks with heterogeneous remainders
 (jitter, restored preempted blocks) get one event each.
 
-With no observer attached, fresh refills are not even block objects: the
-driver issues them as :class:`~repro.gpu.blockrun.BlockRun` spans through
+Fresh refills are not even block objects: the driver issues them as
+:class:`~repro.gpu.blockrun.BlockRun` spans through
 :meth:`StreamingMultiprocessor.start_run` — one span for a grid without
 jitter, one count-1 run per block of a jittered grid — and the SM
 materialises them into per-block state only when something needs it.
+Observers see a span through ``on_run_started`` / ``on_run_completed``.
 """
 
 from __future__ import annotations
@@ -51,12 +52,14 @@ class Wave:
     superseded (evicted, or evicted and re-issued with a new event) via an
     identity check against the wave the block is currently registered under.
 
-    When no observer is attached to an SM, a contiguous run of its blocks is
-    handed to the completion callback's ``batch_complete`` handler (see
-    :meth:`repro.gpu.sm_driver.SMDriver._batch_complete`), which completes
-    the run and refills the SM once instead of once per block.  The handler
-    only accepts runs it can prove behave identically to per-block
-    processing; anything else falls back to the exact path.
+    A :class:`~repro.gpu.blockrun.BlockRun` entry is handed to the
+    completion callback's ``batch_complete_run`` handler, which retires the
+    span and refills the SM once.  When no observer is attached to an SM, a
+    contiguous run of its per-block entries likewise goes to
+    ``batch_complete``.  Both handlers (see
+    :meth:`repro.gpu.sm_driver.SMDriver._completion_callback`) only accept
+    what they can prove behaves identically to per-block processing;
+    anything else falls back to the exact path.
     """
 
     __slots__ = ("time", "seq", "handle", "event", "entries", "live")
@@ -98,16 +101,15 @@ class Wave:
                 i += 1
                 continue
             if block.__class__ is BlockRun:
-                if sm.observer is None:
-                    batch_run = getattr(on_complete, "batch_complete_run", None)
-                    if batch_run is not None and batch_run(sm, block, self):
-                        i += 1
-                        continue
-                # Fallback (observer attached since issue, SM reserved, or
-                # the kernel would finish inside the run): materialise in
-                # place.  The splice puts one per-block entry in exactly the
-                # event positions the per-block path would have used; reloop
-                # without advancing so they are processed normally.
+                batch_run = getattr(on_complete, "batch_complete_run", None)
+                if batch_run is not None and batch_run(sm, block, self):
+                    i += 1
+                    continue
+                # Fallback (SM reserved, or the kernel would finish inside
+                # the run): materialise in place.  The splice puts one
+                # per-block entry in exactly the event positions the
+                # per-block path would have used; reloop without advancing
+                # so they are processed normally.
                 sm._materialize_run(block)
                 n = len(entries)
                 continue
@@ -211,8 +213,8 @@ class StreamingMultiprocessor:
 
         #: Optional :class:`repro.obs.LogHistogram` fed one sample per fired
         #: wave (the wave size in blocks).  A None-gated raw attribute, not
-        #: an observer: attaching an observer disables the wave batch fast
-        #: path, while this hook rides the existing per-wave counter update.
+        #: an observer: it rides the existing per-wave counter update instead
+        #: of a hook call.
         self.metrics_wave_hist = None
 
         self.utilization = UtilizationTracker(simulator.now)
@@ -461,10 +463,12 @@ class StreamingMultiprocessor:
         """Begin executing a vectorised span of fresh blocks (see :mod:`repro.gpu.blockrun`).
 
         The scalar twin of :meth:`start_blocks` for fresh blocks sharing one
-        execution time, with no observer attached: one residency record, one
-        wave entry (joined under exactly the per-block path's conditions), no
-        block objects.  ``extra_latency_us`` is the issue latency the per-block
-        path would have charged each block.
+        execution time: one residency record, one wave entry (joined under
+        exactly the per-block path's conditions), no block objects.
+        ``extra_latency_us`` is the issue latency the per-block path would
+        have charged each block.  An observer hears ``on_run_started`` once
+        the run is resident; its blocks are never announced again, even if
+        the run is later materialised.
         """
         sim = self._sim
         now = sim.now
@@ -474,6 +478,8 @@ class StreamingMultiprocessor:
         run.start_time_us = now
         self._runs[run.key] = run
         self._run_blocks += run.count
+        if self.observer is not None:
+            self.observer.on_run_started(self, run)
         # Same float-addition order as the per-block path's
         # ``now + (extra + remaining)``: completion instants must match bit
         # for bit (extra = tb issue latency, remaining = exec time).

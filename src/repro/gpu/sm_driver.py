@@ -152,13 +152,14 @@ class SMDriver:
         if free > 0:
             tb_issue_latency = self._tb_issue_latency_us
             ptbq = framework.ptbq(ksr_index)
-            if self._wave_batching and sm.observer is None and len(ptbq) == 0:
-                # Vectorised issue: an all-fresh refill of an unobserved SM
-                # becomes BlockRuns — no block objects, one wave entry per
-                # run (see repro.gpu.blockrun).  Without jitter the refill is
-                # one run; with it, a count-1 run per block, carrying the
-                # execution time drawn for it.  Byte-identical to the
-                # per-block path below by construction.
+            if self._wave_batching and len(ptbq) == 0:
+                # Vectorised issue: an all-fresh refill becomes BlockRuns —
+                # no block objects, one wave entry per run (see
+                # repro.gpu.blockrun).  Without jitter the refill is one run;
+                # with it, a count-1 run per block, carrying the execution
+                # time drawn for it.  Byte-identical to the per-block path
+                # below by construction; observers see each run through
+                # their span hooks.
                 first, taken = launch.take_fresh_span(free)
                 if taken:
                     self._ctr_blocks_issued.value += taken
@@ -257,14 +258,15 @@ class SMDriver:
                 """Complete a contiguous same-SM run of a wave in one pass.
 
                 Only reachable with no SM observer attached (see
-                :meth:`repro.gpu.sm.Wave.fire`).  Accepts the run only when
-                it provably behaves identically to per-block processing:
-                every block belongs to the SM's configured RUNNING kernel and
-                the kernel cannot finish within the run (so no release /
-                finish-kernel / mechanism hooks interleave).  The SM is then
-                refilled once; the refill issues the same blocks, in the same
-                order, with the same completion instants the per-block path
-                would have produced.
+                :meth:`repro.gpu.sm.Wave.fire`): these are restored or
+                materialised blocks, which observers see one by one.  Accepts
+                the run only when it provably behaves identically to
+                per-block processing: every block belongs to the SM's
+                configured RUNNING kernel and the kernel cannot finish within
+                the run (so no release / finish-kernel / mechanism hooks
+                interleave).  The SM is then refilled once; the refill issues
+                the same blocks, in the same order, with the same completion
+                instants the per-block path would have produced.
                 """
                 if sm_entry.state is not SMState.RUNNING:
                     return False
@@ -289,8 +291,10 @@ class SMDriver:
                     launch.notify_block_completed(block, now)
                 wave.live -= count
                 sm.blocks_executed += count
-                if not resident and not sm._run_blocks:
-                    sm.utilization.set_idle(now)
+                # No idle transition here: per-block processing of two or
+                # more blocks refills the SM before its last block leaves,
+                # so it never goes idle at this instant.  If the refill
+                # issues nothing, _release_sm marks the SM idle.
                 completed_counter.value += count
                 sm_entry.running_blocks = len(resident) + sm._run_blocks
                 self._fill_running_sm(sm, sm_entry, framework, entry, callback)
@@ -304,7 +308,9 @@ class SMDriver:
                 the run's kernel and the kernel must not finish within the
                 run (so no release / finish-kernel / mechanism hooks
                 interleave).  Returning ``False`` makes the wave materialise
-                the run and process its blocks on the exact path.
+                the run and process its blocks on the exact path.  An SM
+                observer hears ``on_run_completed`` after the run retires and
+                before the refill, the order ``_finish_block`` uses.
                 """
                 if sm_entry.state is not SMState.RUNNING:
                     return False
@@ -325,8 +331,13 @@ class SMDriver:
                 launch.note_span_completed(count, now)
                 wave.live -= count
                 sm.blocks_executed += count
-                if not resident and not sm._run_blocks:
+                # As in batch_complete; a single block, though, leaves the SM
+                # empty before its refill on the per-block path too.
+                if count == 1 and not resident and not sm._run_blocks:
                     sm.utilization.set_idle(now)
+                observer = sm.observer
+                if observer is not None:
+                    observer.on_run_completed(sm, run)
                 completed_counter.value += count
                 sm_entry.running_blocks = len(resident) + sm._run_blocks
                 self._fill_running_sm(sm, sm_entry, framework, entry, callback)

@@ -29,6 +29,14 @@ class BaseObserver:
     Subclass and override the hooks you need.  ``wants_simulator_events``
     lets high-rate simulator hooks (one call per scheduled/fired event) be
     skipped entirely for observers that only consume component hooks.
+
+    Block hooks come in pairs.  Fresh blocks mostly execute as
+    :class:`~repro.gpu.blockrun.BlockRun` spans, announced once per span
+    through ``on_run_started`` / ``on_run_completed``; restored and
+    materialised blocks go through ``on_block_started`` /
+    ``on_block_completed``.  An observer that overrides a block hook must
+    therefore override its run twin too, or it silently misses every span
+    block.  The tests enforce this for every observer in the package.
     """
 
     #: Whether :meth:`repro.system.GPUSystem.install_observer` should also
@@ -54,6 +62,12 @@ class BaseObserver:
 
     def on_block_completed(self, sm, block) -> None:
         """A resident thread block finished execution."""
+
+    def on_run_started(self, sm, run) -> None:
+        """A span of fresh blocks became resident on ``sm`` (all of ``run``)."""
+
+    def on_run_completed(self, sm, run) -> None:
+        """Every block of a resident span finished execution at once."""
 
     def on_blocks_evicted(self, sm, blocks) -> None:
         """Resident blocks were evicted by the context-switch mechanism."""
@@ -134,6 +148,14 @@ class CompositeObserver(BaseObserver):
     def on_block_completed(self, sm, block) -> None:
         for observer in self._observers:
             observer.on_block_completed(sm, block)
+
+    def on_run_started(self, sm, run) -> None:
+        for observer in self._observers:
+            observer.on_run_started(sm, run)
+
+    def on_run_completed(self, sm, run) -> None:
+        for observer in self._observers:
+            observer.on_run_completed(sm, run)
 
     def on_blocks_evicted(self, sm, blocks) -> None:
         for observer in self._observers:

@@ -213,6 +213,26 @@ class TraceCollector(BaseObserver):
             resident=sm.resident_blocks,
         )
 
+    def on_run_started(self, sm, run) -> None:
+        # One BLOCK_START per block of the span, residency stepping one block
+        # at a time exactly as a per-block issue of the same blocks would.
+        emit = self._emit
+        sm_id = sm.sm_id
+        launch_id = run.launch.launch_id
+        resident = sm.resident_blocks - run.count
+        for index in range(run.first_index, run.first_index + run.count):
+            resident += 1
+            emit(ev.BLOCK_START, sm=sm_id, launch=launch_id, block=index, resident=resident)
+
+    def on_run_completed(self, sm, run) -> None:
+        emit = self._emit
+        sm_id = sm.sm_id
+        launch_id = run.launch.launch_id
+        resident = sm.resident_blocks + run.count
+        for index in range(run.first_index, run.first_index + run.count):
+            resident -= 1
+            emit(ev.BLOCK_FINISH, sm=sm_id, launch=launch_id, block=index, resident=resident)
+
     def on_sm_configured(self, sm) -> None:
         self._emit(ev.SM_CONFIGURED, sm=sm.sm_id, ksr=sm.ksr_index)
 

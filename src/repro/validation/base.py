@@ -21,6 +21,7 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, Dict, List, Optional
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for type checkers
+    from repro.gpu.blockrun import BlockRun
     from repro.gpu.command_queue import Command
     from repro.gpu.kernel import KernelLaunch
     from repro.gpu.sm import StreamingMultiprocessor
@@ -68,7 +69,9 @@ class InvariantChecker:
     """Base class for pluggable invariant checkers.
 
     Every hook defaults to a no-op; subclasses override the ones they need
-    and call :meth:`record` when an invariant is broken.  A checker instance
+    and call :meth:`record` when an invariant is broken.  A checker that
+    overrides a block hook must override its run twin as well (see
+    :class:`~repro.sim.observers.BaseObserver`).  A checker instance
     belongs to exactly one run: :meth:`attach` binds it to the system under
     observation.
     """
@@ -141,6 +144,12 @@ class InvariantChecker:
 
     def on_block_completed(self, sm: "StreamingMultiprocessor", block: "ThreadBlock") -> None:
         """A resident thread block finished execution."""
+
+    def on_run_started(self, sm: "StreamingMultiprocessor", run: "BlockRun") -> None:
+        """A span of fresh blocks became resident on ``sm`` (all of ``run``)."""
+
+    def on_run_completed(self, sm: "StreamingMultiprocessor", run: "BlockRun") -> None:
+        """Every block of a resident span finished execution at once."""
 
     def on_blocks_evicted(self, sm: "StreamingMultiprocessor", blocks: List["ThreadBlock"]) -> None:
         """Resident blocks were evicted by the context-switch mechanism."""
@@ -323,6 +332,14 @@ class ValidationHub:
     def on_block_completed(self, sm, block) -> None:
         for checker in self._checkers:
             checker.on_block_completed(sm, block)
+
+    def on_run_started(self, sm, run) -> None:
+        for checker in self._checkers:
+            checker.on_run_started(sm, run)
+
+    def on_run_completed(self, sm, run) -> None:
+        for checker in self._checkers:
+            checker.on_run_completed(sm, run)
 
     def on_blocks_evicted(self, sm, blocks) -> None:
         for checker in self._checkers:

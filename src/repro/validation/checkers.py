@@ -59,36 +59,54 @@ class BlockAccountingChecker(InvariantChecker):
         return size
 
     def on_block_started(self, sm, block) -> None:
-        if block.key in self._completed:
-            self.record(
-                "block_restarted_after_completion",
-                f"block {block.key} started on SM{sm.sm_id} after completing",
-            )
-        self._note_grid_size(block.kernel_launch_id)
+        self._note_starts(sm, block.kernel_launch_id, (block.block_index,))
+
+    def on_run_started(self, sm, run) -> None:
+        first = run.first_index
+        self._note_starts(sm, run.launch.launch_id, range(first, first + run.count))
 
     def on_block_completed(self, sm, block) -> None:
-        if block.key in self._completed:
-            self.record(
-                "block_completed_twice",
-                f"block {block.key} completed twice (second time on SM{sm.sm_id})",
-            )
-            return
-        self._completed.add(block.key)
-        launch_id = block.kernel_launch_id
-        count = self._completions_per_launch.get(launch_id, 0) + 1
-        self._completions_per_launch[launch_id] = count
+        self._note_completions(sm, block.kernel_launch_id, (block.block_index,))
+
+    def on_run_completed(self, sm, run) -> None:
+        first = run.first_index
+        self._note_completions(sm, run.launch.launch_id, range(first, first + run.count))
+
+    def _note_starts(self, sm, launch_id: int, indices) -> None:
+        completed = self._completed
+        for index in indices:
+            if (launch_id, index) in completed:
+                self.record(
+                    "block_restarted_after_completion",
+                    f"block {(launch_id, index)} started on SM{sm.sm_id} after completing",
+                )
+        self._note_grid_size(launch_id)
+
+    def _note_completions(self, sm, launch_id: int, indices) -> None:
+        completed = self._completed
         size = self._note_grid_size(launch_id)
-        if size is not None and count > size:
-            self.record(
-                "more_completions_than_grid",
-                f"launch {launch_id}: {count} block completions exceed grid size {size}",
-            )
-        if block.block_index >= (size if size is not None else block.block_index + 1):
-            self.record(
-                "block_index_out_of_grid",
-                f"launch {launch_id}: completed block index {block.block_index} "
-                f"outside grid of {size}",
-            )
+        count = self._completions_per_launch.get(launch_id, 0)
+        for index in indices:
+            key = (launch_id, index)
+            if key in completed:
+                self.record(
+                    "block_completed_twice",
+                    f"block {key} completed twice (second time on SM{sm.sm_id})",
+                )
+                continue
+            completed.add(key)
+            count += 1
+            if size is not None and count > size:
+                self.record(
+                    "more_completions_than_grid",
+                    f"launch {launch_id}: {count} block completions exceed grid size {size}",
+                )
+            if size is not None and index >= size:
+                self.record(
+                    "block_index_out_of_grid",
+                    f"launch {launch_id}: completed block index {index} outside grid of {size}",
+                )
+        self._completions_per_launch[launch_id] = count
 
     def on_kernel_finished(self, launch) -> None:
         expected = launch.spec.num_thread_blocks
@@ -113,21 +131,28 @@ class OccupancyChecker(InvariantChecker):
     name = "occupancy"
 
     def on_block_started(self, sm, block) -> None:
+        self._check_start(sm, block.kernel_launch_id, f"block {block.key}")
+
+    def on_run_started(self, sm, run) -> None:
+        # The limits are monotone in residency, so checking once with the
+        # whole span resident covers every block of it.
+        self._check_start(sm, run.launch.launch_id, f"run {run.key}+{run.count}")
+
+    def _check_start(self, sm, launch_id: int, what: str) -> None:
         config = self.system.config.gpu
         framework = self.system.execution_engine.framework
         ksr_index = sm.ksr_index
         if not framework.ksr_valid(ksr_index):
             self.record(
                 "block_on_unconfigured_sm",
-                f"block {block.key} started on SM{sm.sm_id} with no valid kernel",
+                f"{what} started on SM{sm.sm_id} with no valid kernel",
             )
             return
         launch = framework.ksr(ksr_index).launch
-        if launch.launch_id != block.kernel_launch_id:
+        if launch.launch_id != launch_id:
             self.record(
                 "block_kernel_mismatch",
-                f"block {block.key} started on SM{sm.sm_id} set up for launch "
-                f"{launch.launch_id}",
+                f"{what} started on SM{sm.sm_id} set up for launch {launch.launch_id}",
             )
             return
         usage = launch.spec.usage
@@ -216,6 +241,16 @@ class PreemptionChecker(InvariantChecker):
         state_bytes = self._pending.pop(block.key, None)
         if state_bytes is not None:
             self.restored_bytes += state_bytes
+
+    def on_run_started(self, sm, run) -> None:
+        pending = self._pending
+        if not pending:
+            return
+        launch_id = run.launch.launch_id
+        for index in range(run.first_index, run.first_index + run.count):
+            state_bytes = pending.pop((launch_id, index), None)
+            if state_bytes is not None:
+                self.restored_bytes += state_bytes
 
     def on_preemption_complete(self, sm, evicted_blocks, mechanism) -> None:
         mechanism_name = getattr(mechanism, "name", str(mechanism))

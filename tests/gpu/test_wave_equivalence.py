@@ -1,18 +1,20 @@
 """Wave-batched vs per-block execution: observably identical, by fuzz.
 
 The SM may aggregate same-instant thread-block completions into shared
-"wave" heap events (``GPUConfig.wave_batching``, on by default) and, with no
-observer attached, complete contiguous same-SM runs through the driver's
-batched handler.  Both are pure simulation optimisations: this fuzz runs 50
-seed-derived scenarios — spread across every scheduling policy × preemption
-mechanism × preemption controller combination, with jitter disabled so waves
-actually form — once wave-batched and once with the exact per-block path
-forced, and asserts byte-identical run artifacts: per-process timings,
-multiprogram metrics, engine statistics, invariant-validation verdicts and
-exported Chrome traces.
+"wave" heap events (``GPUConfig.wave_batching``, on by default), issue fresh
+refills as :class:`~repro.gpu.blockrun.BlockRun` spans and complete them (and,
+with no observer attached, contiguous same-SM runs of blocks) through the
+driver's batched handlers.  All are pure simulation optimisations: this fuzz
+runs 50 seed-derived scenarios — spread across every scheduling policy ×
+preemption mechanism × preemption controller combination, with jitter
+disabled so waves actually form — once wave-batched and once with the exact
+per-block path forced, on the default GPU and on a contended 2-SM GPU, and
+asserts byte-identical run artifacts: per-process timings, multiprogram
+metrics, engine statistics, invariant-validation verdicts and exported
+Chrome traces.
 
-A second fuzz keeps the default per-block jitter, so unobserved refills run
-as count-1 :class:`~repro.gpu.blockrun.BlockRun` spans, and asserts the whole
+A second fuzz keeps the default per-block jitter, so refills run as count-1
+:class:`~repro.gpu.blockrun.BlockRun` spans, and asserts the whole
 run record byte-identical to the per-block path — for closed-loop scenarios
 over every combination and for open-loop serving runs, one of them split
 across a checkpoint.
@@ -25,6 +27,7 @@ from typing import Optional
 
 import pytest
 
+from repro.gpu.sm import SMState, StreamingMultiprocessor
 from repro.runner import execute_scenario
 from repro.scenario import ScenarioSpec, SchemeSpec
 from repro.serving.driver import run_serving
@@ -123,8 +126,8 @@ def test_fuzz_covers_every_policy_mechanism_controller_combination():
 @pytest.mark.parametrize("seed", FUZZ_SEEDS)
 def test_wave_batched_run_is_byte_identical_to_per_block_run(seed):
     # Half the seeds run with the invariant-validation observers attached, so
-    # both the batched driver fast path (no observers) and the exact
-    # interleaved path (observers present) are compared against per-block.
+    # the span path is compared against per-block both bare and observed
+    # through the run hooks.
     validate = seed % 2 == 0
     waved = execute_scenario(_fuzz_scenario(seed, wave_batching=True, validate=validate))
     exact = execute_scenario(_fuzz_scenario(seed, wave_batching=False, validate=validate))
@@ -139,16 +142,66 @@ def test_wave_batched_run_is_byte_identical_to_per_block_run(seed):
     ), f"seed {seed} ({waved.scenario.describe()}) diverged"
 
 
-@pytest.mark.parametrize("seed", [0, 10, 20, 30, 40])
-def test_wave_batched_traces_are_byte_identical(seed, tmp_path):
-    """Traced runs export byte-identical Chrome trace artifacts."""
-    spec_waved = _fuzz_scenario(seed, wave_batching=True, validate=False)
-    spec_exact = _fuzz_scenario(seed, wave_batching=False, validate=False)
+_SMALL_GPU_SMS = 2
+
+
+@pytest.mark.parametrize("validate", [False, True])
+@pytest.mark.parametrize("seed", FUZZ_SEEDS)
+def test_wave_batched_run_on_a_contended_gpu_is_byte_identical(seed, validate):
+    # On 2 SMs the preemptive schemes contend.  Seed 16 caught the batched
+    # completion handlers marking an emptied SM idle before its refill,
+    # which the per-block path never does for two or more blocks.
+    waved = execute_scenario(
+        _fuzz_scenario(seed, wave_batching=True, validate=validate, num_sms=_SMALL_GPU_SMS)
+    )
+    exact = execute_scenario(
+        _fuzz_scenario(seed, wave_batching=False, validate=validate, num_sms=_SMALL_GPU_SMS)
+    )
+    if validate:
+        assert waved.ok and exact.ok
+    assert json.dumps(_artifacts(waved), sort_keys=True) == json.dumps(
+        _artifacts(exact), sort_keys=True
+    ), f"seed {seed} ({waved.scenario.describe()}) diverged on {_SMALL_GPU_SMS} SMs"
+
+
+#: Traced inputs: ``(seed, num_sms, validate)``.  The default-GPU seeds trace
+#: alone; the 2-SM seeds add validation and preempt (context switch and
+#: draining), so spans are materialised mid-flight on reserved SMs.
+TRACED_INPUTS = [
+    pytest.param(seed, None, False, id=str(seed)) for seed in (0, 10, 20, 30, 40)
+] + [
+    pytest.param(seed, _SMALL_GPU_SMS, True, id=f"{seed}-2sm-validated")
+    for seed in (16, 19, 23, 33)
+]
+
+
+@pytest.mark.parametrize("seed,num_sms,validate", TRACED_INPUTS)
+def test_wave_batched_traces_are_byte_identical(seed, num_sms, validate, tmp_path, monkeypatch):
+    """Traced runs export byte-identical Chrome trace artifacts.
+
+    The trace collector (and, where enabled, validation) observes the span
+    path through the run hooks, while the reference runs every block through
+    the per-block path.
+    """
+    reserved_materialisations = []
+    materialise = StreamingMultiprocessor._materialize_run
+
+    def counting(sm, run):
+        if sm.state is SMState.RESERVED:
+            reserved_materialisations.append(run.count)
+        return materialise(sm, run)
+
+    monkeypatch.setattr(StreamingMultiprocessor, "_materialize_run", counting)
+    spec_waved = _fuzz_scenario(seed, wave_batching=True, validate=validate, num_sms=num_sms)
+    spec_exact = _fuzz_scenario(seed, wave_batching=False, validate=validate, num_sms=num_sms)
     spec_waved = ScenarioSpec.from_dict({**spec_waved.to_dict(), "trace": True})
     spec_exact = ScenarioSpec.from_dict({**spec_exact.to_dict(), "trace": True})
     path_waved = str(tmp_path / "waved.trace.json")
     path_exact = str(tmp_path / "exact.trace.json")
     waved = execute_scenario(spec_waved, trace_path=path_waved)
+    if validate:
+        assert waved.ok
+        assert reserved_materialisations
     exact = execute_scenario(spec_exact, trace_path=path_exact)
     with open(path_waved, "rb") as handle:
         waved_bytes = handle.read()
@@ -183,7 +236,6 @@ def test_wave_batching_reduces_heap_events_on_regular_grids():
 JITTER_SEEDS = list(range(2 * len(COMBOS)))
 #: Jittered open-loop serving seeds on a 2-SM GPU, each of which preempts.
 SERVING_SEEDS = [19, 23, 31, 64, 72, 74]
-_SMALL_GPU_SMS = 2
 
 
 def _jittered(seed: int, *, wave_batching: bool, open_loop: bool = False) -> ScenarioSpec:

@@ -94,8 +94,8 @@ def test_fuzz_covers_every_policy_mechanism_controller_combination():
 @pytest.mark.parametrize("seed", FUZZ_SEEDS)
 def test_calendar_run_is_byte_identical_to_heap_run(seed):
     # Half the seeds attach the invariant-validation observers, exercising
-    # both the batched no-observer fast path and the exact interleaved path
-    # under each queue.
+    # the batched paths both bare and observed (span hooks, per-block
+    # batches off) under each queue.
     validate = seed % 2 == 0
     heap, calendar = _run_pair(seed, validate=validate)
     if validate:

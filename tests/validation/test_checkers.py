@@ -6,6 +6,10 @@ from types import SimpleNamespace
 
 import pytest
 
+from repro.gpu.blockrun import BlockRun
+from repro.gpu.config import GPUConfig
+from repro.gpu.kernel import KernelLaunch, KernelSpec
+from repro.gpu.resources import ResourceUsage
 from repro.runner import execute_scenario
 from repro.scenario import ScenarioSpec, SchemeSpec
 from repro.sim.events import make_event
@@ -18,6 +22,7 @@ from repro.validation import (
     make_hub,
 )
 from repro.validation.checkers import (
+    BlockAccountingChecker,
     EventOrderChecker,
     MetricsChecker,
     OccupancyChecker,
@@ -208,6 +213,12 @@ class TestCorruptedCheckers:
         name = "corrupted_occupancy"
 
         def on_block_started(self, sm, block) -> None:
+            self._check(sm)
+
+        def on_run_started(self, sm, run) -> None:
+            self._check(sm)
+
+        def _check(self, sm) -> None:
             framework = self.system.execution_engine.framework
             if not framework.ksr_valid(sm.ksr_index):
                 return
@@ -278,3 +289,104 @@ class TestIndividualCheckers:
         first, second = default_checkers(), default_checkers()
         assert {type(c) for c in first} == {type(c) for c in second}
         assert all(a is not b for a, b in zip(first, second))
+
+
+def _launch(launch_id: int = 5, num_blocks: int = 8) -> KernelLaunch:
+    spec = KernelSpec(
+        name="k", benchmark="b", num_thread_blocks=num_blocks, avg_tb_time_us=2.0,
+        usage=ResourceUsage(
+            registers_per_block=1, shared_memory_per_block=0, threads_per_block=1
+        ),
+    )
+    return KernelLaunch(spec=spec, launch_id=launch_id, context_id=1)
+
+
+def _span(launch: KernelLaunch, count: int) -> BlockRun:
+    first, taken = launch.take_fresh_span(count)
+    return BlockRun(launch, first, taken, launch.spec.avg_tb_time_us)
+
+
+def _fake_system(launch: KernelLaunch, gpu: GPUConfig):
+    """Just enough of a system for the checkers: one active kernel in KSR 0."""
+    framework = SimpleNamespace(
+        ksr_valid=lambda index: index == 0,
+        ksr=lambda index: SimpleNamespace(launch=launch),
+        ksr_index_for_launch=lambda launch_id: 0 if launch_id == launch.launch_id else None,
+    )
+    return SimpleNamespace(
+        config=SimpleNamespace(gpu=gpu),
+        execution_engine=SimpleNamespace(framework=framework),
+        simulator=SimpleNamespace(now=3.0),
+    )
+
+
+class TestRunHooks:
+    """Checkers run their per-block checks on spans fed through the run hooks."""
+
+    def test_run_completed_twice_is_detected(self):
+        launch = _launch()
+        checker = BlockAccountingChecker()
+        checker.attach(_fake_system(launch, GPUConfig()))
+        sm = SimpleNamespace(sm_id=1)
+        run = _span(launch, 3)
+        checker.on_run_started(sm, run)
+        checker.on_run_completed(sm, run)
+        assert checker.violations == []
+        checker.on_run_completed(sm, run)
+        assert [v.invariant for v in checker.violations] == ["block_completed_twice"] * 3
+        checker.on_run_started(sm, run)
+        assert [v.invariant for v in checker.violations[3:]] == [
+            "block_restarted_after_completion"
+        ] * 3
+
+    def test_run_and_block_completions_share_the_ledger(self):
+        launch = _launch(num_blocks=4)
+        checker = BlockAccountingChecker()
+        checker.attach(_fake_system(launch, GPUConfig()))
+        sm = SimpleNamespace(sm_id=0)
+        (block,) = launch.take_fresh_blocks(1)
+        checker.on_block_completed(sm, block)
+        checker.on_run_completed(sm, _span(launch, 3))
+        launch.note_span_completed(4, 3.0)
+        checker.on_kernel_finished(launch)
+        assert checker.violations == []
+        # A span overlapping the block already completed is caught per block.
+        checker.on_run_completed(sm, BlockRun(launch, 0, 2, 2.0))
+        assert [v.invariant for v in checker.violations] == ["block_completed_twice"] * 2
+
+    def test_over_full_run_exceeds_the_block_limit(self):
+        gpu = GPUConfig()
+        launch = _launch()
+        checker = OccupancyChecker()
+        checker.attach(_fake_system(launch, gpu))
+        run = _span(launch, 4)
+        sm = SimpleNamespace(
+            sm_id=2,
+            ksr_index=0,
+            resident_blocks=gpu.max_thread_blocks_per_sm + 1,
+            max_resident_blocks=gpu.max_thread_blocks_per_sm + 1,
+            shared_memory_config=gpu.default_shared_memory_bytes,
+        )
+        checker.on_run_started(sm, run)
+        assert [v.invariant for v in checker.violations] == ["block_limit_exceeded"]
+        assert "SM2" in checker.violations[0].message
+
+    def test_run_on_an_sm_set_up_for_another_kernel(self):
+        launch = _launch()
+        checker = OccupancyChecker()
+        checker.attach(_fake_system(launch, GPUConfig()))
+        stranger = _span(_launch(launch_id=9), 2)
+        sm = SimpleNamespace(sm_id=0, ksr_index=0)
+        checker.on_run_started(sm, stranger)
+        assert [v.invariant for v in checker.violations] == ["block_kernel_mismatch"]
+        assert f"run {stranger.key}+2" in checker.violations[0].message
+
+    def test_run_start_restores_pending_saved_state(self):
+        launch = _launch()
+        checker = PreemptionChecker()
+        checker.attach(_fake_system(launch, GPUConfig()))
+        checker._pending[(launch.launch_id, 1)] = 64
+        checker.saved_bytes = 64
+        checker.on_run_started(SimpleNamespace(sm_id=0), _span(launch, 3))
+        assert checker.restored_bytes == 64
+        assert checker.outstanding_bytes == 0
