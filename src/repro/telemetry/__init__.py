@@ -8,8 +8,10 @@ timeline:
 * :class:`TraceCollector` — an observer recording typed, timestamped
   :class:`TraceEvent` values (kernel lifecycle, block dispatch/finish,
   preemption request → save → restore / drain, transfers, CPU phases, SM
-  occupancy deltas).  Enable per run with ``GPUSystem(trace=True)`` /
-  ``ScenarioSpec(trace=True)`` or the CLI's ``--trace``.
+  occupancy deltas).  A ``BlockRun`` span is stored as one
+  :class:`BlockRunRecord`; ``events`` expands it per block.  Enable per run
+  with ``GPUSystem(trace=True)`` / ``ScenarioSpec(trace=True)`` or the
+  CLI's ``--trace``.
 * :mod:`repro.telemetry.analytics` — derived quantities: per-mechanism
   preemption-latency distributions (p50/p95/max), per-SM occupancy
   timelines and busy fractions, queueing-delay breakdowns, matched spans.
@@ -42,7 +44,7 @@ from repro.telemetry.analytics import (
     summarize,
 )
 from repro.telemetry.collector import TraceCollector
-from repro.telemetry.events import KINDS, TraceEvent
+from repro.telemetry.events import KINDS, BlockRunRecord, TraceEvent
 from repro.telemetry.export import (
     ascii_gantt,
     iter_jsonl,
@@ -54,6 +56,7 @@ from repro.telemetry.export import (
 __all__ = [
     "TraceCollector",
     "TraceEvent",
+    "BlockRunRecord",
     "KINDS",
     "Span",
     "derive_spans",

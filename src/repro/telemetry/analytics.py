@@ -1,7 +1,9 @@
 """Derived analytics over a recorded trace-event stream.
 
-The raw stream (:mod:`repro.telemetry.collector`) is a flat list of instants;
-this module derives the quantities the paper argues about:
+The raw stream (:mod:`repro.telemetry.collector`) is a flat list of instants
+and block spans (:class:`~repro.telemetry.events.BlockRunRecord`, one per
+``count`` same-instant block starts or finishes); this module derives the
+quantities the paper argues about:
 
 * **preemption-latency distributions** per mechanism — the time from the
   scheduling policy reserving an SM to the mechanism handing it back free
@@ -16,7 +18,11 @@ this module derives the quantities the paper argues about:
 
 Everything here is pure and deterministic: plain functions over the event
 list, no simulator access, nearest-rank percentiles (no interpolation), so
-summaries are byte-stable across runs and platforms.
+summaries are byte-stable across runs and platforms.  :func:`summarize`,
+:func:`occupancy_timeline`, :func:`preemption_latencies` and
+:func:`queueing_delays` accept a record stream with spans and give exactly
+what they give for its per-block expansion; :func:`derive_spans` needs the
+expanded events.
 """
 
 from __future__ import annotations
@@ -26,7 +32,7 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.telemetry import events as ev
-from repro.telemetry.events import TraceEvent
+from repro.telemetry.events import BlockRunRecord, TraceEvent, TraceRecord
 
 
 # ----------------------------------------------------------------------
@@ -63,7 +69,7 @@ def latency_stats(samples: Sequence[float]) -> Dict[str, float]:
 # ----------------------------------------------------------------------
 # Preemption latency (the paper's headline metric)
 # ----------------------------------------------------------------------
-def preemption_latencies(events: Sequence[TraceEvent]) -> Dict[str, List[float]]:
+def preemption_latencies(events: Sequence[TraceRecord]) -> Dict[str, List[float]]:
     """Observed preemption latencies per mechanism, in completion order.
 
     The latency of one preemption is the time from ``preempt_request`` (the
@@ -84,16 +90,20 @@ def preemption_latencies(events: Sequence[TraceEvent]) -> Dict[str, List[float]]
 # ----------------------------------------------------------------------
 # Occupancy timelines
 # ----------------------------------------------------------------------
-def occupancy_timeline(events: Sequence[TraceEvent]) -> Dict[int, List[Tuple[float, int]]]:
+def occupancy_timeline(events: Sequence[TraceRecord]) -> Dict[int, List[Tuple[float, int]]]:
     """Per-SM resident-block step function: sm -> [(time_us, resident), ...].
 
     Built from the residency counts the collector stamps on block events; an
     eviction drops the SM to zero residency (the context-switch mechanism
-    always evicts every resident block).
+    always evicts every resident block).  A span contributes one point, its
+    residency after the last block: its per-block points share one instant,
+    so they add no busy time (see :func:`sm_busy_fractions`).
     """
     timeline: Dict[int, List[Tuple[float, int]]] = {}
     for event in events:
-        if event.kind in (ev.BLOCK_START, ev.BLOCK_RESTORE, ev.BLOCK_FINISH):
+        if type(event) is BlockRunRecord:
+            timeline.setdefault(event.sm, []).append((event.time_us, event.resident_after))
+        elif event.kind in (ev.BLOCK_START, ev.BLOCK_RESTORE, ev.BLOCK_FINISH):
             sm = event.attrs["sm"]
             timeline.setdefault(sm, []).append((event.time_us, event.attrs["resident"]))
         elif event.kind == ev.PREEMPT_SAVE_START:
@@ -127,7 +137,7 @@ def sm_busy_fractions(
 # ----------------------------------------------------------------------
 # Queueing delays
 # ----------------------------------------------------------------------
-def queueing_delays(events: Sequence[TraceEvent]) -> Dict[str, List[float]]:
+def queueing_delays(events: Sequence[TraceRecord]) -> Dict[str, List[float]]:
     """Hardware-queue wait per engine: enqueue -> dispatcher issue.
 
     Returns ``{"kernel": [...], "transfer": [...]}`` in issue order.
@@ -381,7 +391,7 @@ def derive_spans(events: Sequence[TraceEvent], *, end_us: float) -> List[Span]:
 # The run summary (rides through RunRecord)
 # ----------------------------------------------------------------------
 def summarize(
-    events: Sequence[TraceEvent],
+    events: Sequence[TraceRecord],
     *,
     now_us: float,
     artifacts: Optional[Sequence[str]] = None,
@@ -392,17 +402,21 @@ def summarize(
     therefore :class:`repro.runner.RunRecord`) carries back from batch
     workers: aggregate counts, per-mechanism preemption-latency samples and
     stats, queueing stats, per-SM busy fractions, and the paths of any
-    exported artifacts.  Raw events stay behind in the worker.
+    exported artifacts.  Raw events stay behind in the worker.  A span
+    counts as its ``count`` block events.
     """
     counts: Dict[str, int] = {}
+    total = 0
     for event in events:
-        counts[event.kind] = counts.get(event.kind, 0) + 1
+        weight = event.count if type(event) is BlockRunRecord else 1
+        counts[event.kind] = counts.get(event.kind, 0) + weight
+        total += weight
     latencies = preemption_latencies(events)
     waits = queueing_delays(events)
     busy = sm_busy_fractions(occupancy_timeline(events), now_us)
     mean_busy = sum(busy.values()) / len(busy) if busy else 0.0
     return {
-        "events_total": len(events),
+        "events_total": total,
         "counts": dict(sorted(counts.items())),
         "simulated_time_us": now_us,
         "preemption": {

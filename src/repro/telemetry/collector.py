@@ -10,8 +10,13 @@ transfers and host CPU phases.
 
 The collector is a pure observer — a traced run is byte-identical to an
 untraced one — and it skips the simulator's high-rate per-event hooks
-entirely (``wants_simulator_events = False``), so its cost is one method
-call plus one dataclass append per *model-level* event.
+entirely (``wants_simulator_events = False``).  It stores one record per
+model-level hook call: a :class:`~repro.telemetry.events.TraceEvent` for an
+instant, and one :class:`~repro.telemetry.events.BlockRunRecord` for a whole
+:class:`~repro.gpu.blockrun.BlockRun` span starting or finishing, however
+many blocks it holds.  :attr:`TraceCollector.events` is the expanded,
+per-block view (it costs O(block events) to build, once per new record);
+:meth:`TraceCollector.summary` reads the records directly.
 
 Identifiers are normalised to run-local dense indices (see
 :meth:`TraceCollector._command_ref`), so the trace of a scenario does not
@@ -21,11 +26,11 @@ batch runs export byte-identical artifacts.
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.sim.observers import BaseObserver
 from repro.telemetry import events as ev
-from repro.telemetry.events import TraceEvent
+from repro.telemetry.events import BlockRunRecord, TraceEvent, TraceRecord, expand_records
 
 
 class TraceCollector(BaseObserver):
@@ -38,8 +43,12 @@ class TraceCollector(BaseObserver):
         #: events stay untagged).  Set by the cluster layer so merged fleet
         #: traces remain attributable to their originating GPU.
         self.gpu_id = gpu_id
-        #: The recorded events, in emission (= simulation) order.
-        self.events: List[TraceEvent] = []
+        #: Instants and block spans, in emission (= simulation) order.
+        self._records: List[TraceRecord] = []
+        #: ``events`` cache: the expansion of ``_records[:_expanded_upto]``.
+        self._expanded: List[TraceEvent] = []
+        self._expanded_upto = 0
+        #: Seq of the next event; a span advances it by its block count.
         self._seq = 0
         self._system = None
         self._sim = None
@@ -82,13 +91,28 @@ class TraceCollector(BaseObserver):
 
     @property
     def num_events(self) -> int:
-        """Number of recorded events."""
-        return len(self.events)
+        """Number of recorded events (a span counts one per block)."""
+        return self._seq
+
+    @property
+    def events(self) -> List[TraceEvent]:
+        """Every recorded event in emission order, spans expanded per block.
+
+        A read-only view, extended with the records that arrived since the
+        last read; its seq numbers are dense, ``0 .. num_events - 1``.
+        """
+        records = self._records
+        if self._expanded_upto < len(records):
+            self._expanded.extend(
+                expand_records(records[self._expanded_upto :], gpu=self.gpu_id)
+            )
+            self._expanded_upto = len(records)
+        return self._expanded
 
     def _emit(self, kind: str, **attrs: Any) -> None:
         if self.gpu_id is not None:
             attrs["gpu"] = self.gpu_id
-        self.events.append(
+        self._records.append(
             TraceEvent(seq=self._seq, time_us=self._sim.now, kind=kind, attrs=attrs)
         )
         self._seq += 1
@@ -214,24 +238,27 @@ class TraceCollector(BaseObserver):
         )
 
     def on_run_started(self, sm, run) -> None:
-        # One BLOCK_START per block of the span, residency stepping one block
-        # at a time exactly as a per-block issue of the same blocks would.
-        emit = self._emit
-        sm_id = sm.sm_id
-        launch_id = run.launch.launch_id
-        resident = sm.resident_blocks - run.count
-        for index in range(run.first_index, run.first_index + run.count):
-            resident += 1
-            emit(ev.BLOCK_START, sm=sm_id, launch=launch_id, block=index, resident=resident)
+        # One record for the span; it expands to one BLOCK_START per block,
+        # residency stepping one block at a time exactly as a per-block
+        # issue of the same blocks would.
+        count = run.count
+        self._records.append(
+            BlockRunRecord(
+                self._seq, self._sim.now, ev.BLOCK_START, sm.sm_id, run.launch.launch_id,
+                run.first_index, count, sm.resident_blocks - count, 1,
+            )
+        )
+        self._seq += count
 
     def on_run_completed(self, sm, run) -> None:
-        emit = self._emit
-        sm_id = sm.sm_id
-        launch_id = run.launch.launch_id
-        resident = sm.resident_blocks + run.count
-        for index in range(run.first_index, run.first_index + run.count):
-            resident -= 1
-            emit(ev.BLOCK_FINISH, sm=sm_id, launch=launch_id, block=index, resident=resident)
+        count = run.count
+        self._records.append(
+            BlockRunRecord(
+                self._seq, self._sim.now, ev.BLOCK_FINISH, sm.sm_id, run.launch.launch_id,
+                run.first_index, count, sm.resident_blocks + count, -1,
+            )
+        )
+        self._seq += count
 
     def on_sm_configured(self, sm) -> None:
         self._emit(ev.SM_CONFIGURED, sm=sm.sm_id, ksr=sm.ksr_index)
@@ -288,20 +315,21 @@ class TraceCollector(BaseObserver):
     # ------------------------------------------------------------------
     # Reporting
     # ------------------------------------------------------------------
-    def summary(self) -> Dict[str, Any]:
+    def summary(self, *, artifacts: Optional[Sequence[str]] = None) -> Dict[str, Any]:
         """JSON-serialisable summary of the recorded stream.
 
         Thin wrapper over :func:`repro.telemetry.analytics.summarize`, bound
-        to this collector's events and current simulation time.
+        to this collector's records (spans are not expanded) and current
+        simulation time.
         """
         from repro.telemetry.analytics import summarize  # local: avoids cycle
 
         now = self._sim.now if self._sim is not None else 0.0
-        return summarize(self.events, now_us=now)
+        return summarize(self._records, now_us=now, artifacts=artifacts)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         state = "attached" if self.attached else "detached"
-        return f"TraceCollector({state}, events={len(self.events)})"
+        return f"TraceCollector({state}, events={self._seq})"
 
 
 __all__ = ["TraceCollector"]

@@ -7,6 +7,12 @@ monotonically increasing per-collector sequence number (to give a total
 order to events at the same timestamp) and a flat, JSON-serialisable
 ``attrs`` payload.
 
+A :class:`BlockRunRecord` stands for ``count`` consecutive ``block_start``
+(or ``block_finish``) events of one span of blocks on one SM, all at the
+same instant; the collector stores one per span and
+:func:`expand_records` turns a mixed record stream back into the per-block
+:class:`TraceEvent` values.
+
 Identifiers inside ``attrs`` are *run-local*: the collector densely renumbers
 global counters (e.g. command ids, which are process-wide) so that the trace
 of a scenario is byte-identical whether it runs first or last in a batch,
@@ -17,7 +23,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from typing import Any, Dict, Mapping
+from typing import Any, Dict, Iterable, List, Mapping, NamedTuple, Optional, Union
 
 
 # ----------------------------------------------------------------------
@@ -120,8 +126,78 @@ class TraceEvent:
         return f"[{self.time_us:.3f}us] {self.kind} {attrs}".rstrip()
 
 
+class BlockRunRecord(NamedTuple):
+    """``count`` same-instant block starts or finishes of one span, as one record.
+
+    Expands to the events a per-block issue of the span would record: block
+    ``first_block + i`` gets seq ``seq + i`` and residency
+    ``resident + (i + 1) * step``.
+    """
+
+    #: Seq of the first block's event; the span owns ``seq .. seq + count - 1``.
+    seq: int
+    #: Simulation time shared by every block of the span (µs).
+    time_us: float
+    #: :data:`BLOCK_START` or :data:`BLOCK_FINISH`.
+    kind: str
+    sm: int
+    launch: int
+    first_block: int
+    count: int
+    #: SM residency before the span's first block.
+    resident: int
+    #: Residency change per block: +1 for starts, -1 for finishes.
+    step: int
+
+    @property
+    def resident_after(self) -> int:
+        """SM residency once every block of the span is accounted for."""
+        return self.resident + self.step * self.count
+
+    def expand(self, gpu: Optional[int] = None) -> List[TraceEvent]:
+        """The span's per-block events, ``gpu`` stamped last when set."""
+        events = []
+        resident = self.resident
+        for offset in range(self.count):
+            resident += self.step
+            attrs = {
+                "sm": self.sm,
+                "launch": self.launch,
+                "block": self.first_block + offset,
+                "resident": resident,
+            }
+            if gpu is not None:
+                attrs["gpu"] = gpu
+            events.append(
+                TraceEvent(
+                    seq=self.seq + offset, time_us=self.time_us, kind=self.kind, attrs=attrs
+                )
+            )
+        return events
+
+
+#: One entry of a collector's record stream.
+TraceRecord = Union[TraceEvent, BlockRunRecord]
+
+
+def expand_records(
+    records: Iterable[TraceRecord], *, gpu: Optional[int] = None
+) -> List[TraceEvent]:
+    """Flatten a record stream into its per-event form, in stream order."""
+    events: List[TraceEvent] = []
+    for record in records:
+        if type(record) is BlockRunRecord:
+            events.extend(record.expand(gpu))
+        else:
+            events.append(record)
+    return events
+
+
 __all__ = [
     "TraceEvent",
+    "BlockRunRecord",
+    "TraceRecord",
+    "expand_records",
     "KINDS",
     "KERNEL_ENQUEUE",
     "KERNEL_ISSUE",

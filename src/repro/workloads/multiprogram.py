@@ -402,8 +402,7 @@ class WorkloadRunner:
             write_jsonl(system.metrics.rows, metrics_path, meta=system.metrics.meta)
         trace_summary = None
         if system.telemetry is not None:
-            from repro.telemetry.analytics import summarize  # local: keeps import cheap
-            from repro.telemetry.export import write_chrome_trace
+            from repro.telemetry.export import write_chrome_trace  # local: keeps import cheap
 
             artifacts = []
             if trace_path is not None:
@@ -411,11 +410,7 @@ class WorkloadRunner:
                     system.telemetry.events, trace_path, end_us=system.simulator.now
                 )
                 artifacts.append(trace_path)
-            trace_summary = summarize(
-                system.telemetry.events,
-                now_us=system.simulator.now,
-                artifacts=artifacts,
-            )
+            trace_summary = system.telemetry.summary(artifacts=artifacts)
         return WorkloadResult(
             spec=spec,
             policy=scenario.scheme.policy,

@@ -9,6 +9,11 @@ import pytest
 from repro.experiments.cli import EXPERIMENTS, build_parser, format_listing, main, make_config
 
 
+def _strip_wallclock(text):
+    """stdout lines without the host-timed "Wall-clock" note (as CI diffs do)."""
+    return [line for line in text.splitlines() if "Wall-clock" not in line]
+
+
 def test_parser_knows_every_experiment():
     parser = build_parser()
     args = parser.parse_args(["table1", "table2"])
@@ -87,11 +92,7 @@ def test_main_trace_and_validate_compose(capsys, tmp_path, monkeypatch):
     )
     plain = capsys.readouterr()
     assert plain_code == 0
-
-    def strip_wallclock(text):
-        return [line for line in text.splitlines() if "Wall-clock" not in line]
-
-    assert strip_wallclock(plain.out) == strip_wallclock(captured.out)
+    assert _strip_wallclock(plain.out) == _strip_wallclock(captured.out)
 
 
 def test_main_runs_synthetic_experiment_with_validation(capsys):
@@ -258,8 +259,10 @@ def test_main_profile_prints_stderr_line_and_keeps_stdout_identical(capsys):
     plain = capsys.readouterr()
     assert plain_code == 0
     assert plain.err == ""
-    # stdout is byte-identical with and without --profile.
-    assert profiled.out == plain.out
+    # stdout is byte-identical with and without --profile, apart from the
+    # host-timed wall-clock note (rounded to 0.1 s, so it can differ).
+    assert _strip_wallclock(profiled.out) == _strip_wallclock(plain.out)
+    assert "Wall-clock" in plain.out
 
 
 def test_main_profile_composes_with_validate(capsys):
